@@ -6,7 +6,8 @@
 //	mcbench [-scale quick|full] [-format text|md|csv] [-out DIR] [-j N]
 //	        [-store DIR] [-resume] [-timeout D] [-json FILE] [-delta FILE]
 //	        [-delta-tol F] [-settle N] [-faults PLAN] [-fault-seed N]
-//	        [-retries N] <id>...|all|list
+//	        [-retries N] [-cpuprofile FILE] [-memprofile FILE]
+//	        <id>...|all|list
 //	mcbench -sweep GRID [-remote URL] [-priority N] [-client ID]
 //	        [-screen] [-promote-margin F]
 //	        [-uncertainty-bound F] [-calibrate] [flags]
@@ -67,6 +68,7 @@ import (
 	"multicore/internal/analytic"
 	"multicore/internal/experiments"
 	"multicore/internal/fault"
+	"multicore/internal/profile"
 	"multicore/internal/report"
 	"multicore/internal/schema"
 	"multicore/internal/sim"
@@ -101,6 +103,8 @@ func main() {
 	calibrate := flag.Bool("calibrate", false, "with -store: fit per-workload-class correction factors from stored simulation results and report residual error (applied to -screen estimates)")
 	screenBench := flag.Int("screen-bench", 0, "with -json: benchmark analytic screening over a synthetic grid of at least N cells and record the throughput")
 	deltaTol := flag.Float64("delta-tol", 0.10, "with -delta: fractional wall-time/allocation regression tolerated before failing")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to FILE (inspect with go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a heap profile at the end of the invocation to FILE")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -108,6 +112,13 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+
+	stop, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	stopProfile = stop
+	defer stopProfile()
 
 	sc, err := experiments.ParseScale(*scale)
 	if err != nil {
@@ -307,7 +318,7 @@ func main() {
 		if *deltaFile != "" {
 			if err := checkBenchDelta(*deltaFile, records, *deltaTol); err != nil {
 				fmt.Fprintf(os.Stderr, "mcbench: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "mcbench: no regression against %s (tolerance %.0f%%)\n", *deltaFile, 100**deltaTol)
 		}
@@ -368,10 +379,10 @@ func main() {
 		if *storeDir != "" {
 			fmt.Fprintf(os.Stderr, "mcbench: completed cells are saved; re-run the same command to continue\n")
 		}
-		os.Exit(130)
+		exit(130)
 	}
 	if failed > 0 {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -461,7 +472,7 @@ func runSweep(ctx context.Context, gridStr, remote, scale string, opts experimen
 		}
 		if ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "mcbench: interrupted\n")
-			os.Exit(130)
+			exit(130)
 		}
 		for _, e := range runner.CellErrors() {
 			fmt.Fprintf(os.Stderr, "mcbench: cell error: %v\n", e)
@@ -755,7 +766,16 @@ flags:
 	flag.PrintDefaults()
 }
 
+// stopProfile ends the -cpuprofile/-memprofile capture; exit runs it so
+// failing and interrupted runs still leave complete profiles behind.
+var stopProfile = func() {}
+
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
+}
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "mcbench: "+format+"\n", args...)
-	os.Exit(1)
+	exit(1)
 }

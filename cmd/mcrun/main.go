@@ -16,6 +16,8 @@
 // (OS noise, degraded links/memory controllers, stragglers, message
 // delays — see internal/fault) is injected into the run, seeded by
 // -fault-seed; -retries re-attempts runs that fail transiently.
+// -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
+// the run for `go tool pprof`.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"multicore/internal/fault"
 	"multicore/internal/machine"
 	"multicore/internal/mpi"
+	"multicore/internal/profile"
 	"multicore/internal/report"
 	"multicore/internal/sim"
 	"multicore/internal/units"
@@ -76,7 +79,15 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault plan's random draws")
 	retries := flag.Int("retries", 0, "re-attempts when the run fails with a transient fault (0 = no retry)")
 	settle := flag.Int("settle", 0, "parallel settle workers; >1 opts into component-mode settling (0/1 = serial union settling)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to FILE (inspect with go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a heap profile at the end of the run to FILE")
 	flag.Parse()
+	stop, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	stopProfile = stop
+	defer stopProfile()
 
 	sch, err := affinity.ParseScheme(*scheme)
 	if err != nil {
@@ -177,7 +188,7 @@ func main() {
 			for _, p := range dl.Blocked {
 				fmt.Fprintf(os.Stderr, "  %-16s waiting on %s\n", p.Name, p.Wait)
 			}
-			os.Exit(1)
+			exit(1)
 		}
 		var ce *sim.CanceledError
 		if errors.As(err, &ce) {
@@ -266,7 +277,16 @@ func main() {
 	}
 }
 
+// stopProfile ends the -cpuprofile/-memprofile capture; exit runs it so
+// failing runs still leave complete profiles behind.
+var stopProfile = func() {}
+
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
+}
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "mcrun: "+format+"\n", args...)
-	os.Exit(1)
+	exit(1)
 }

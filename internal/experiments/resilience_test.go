@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"multicore/internal/affinity"
+	"multicore/internal/mpi"
 	"multicore/internal/report"
 	"multicore/internal/sim"
 	"multicore/internal/store"
@@ -106,6 +107,49 @@ func TestExperimentWithPanickingCellRendersERR(t *testing.T) {
 	}
 	if !foundOK {
 		t.Fatal("healthy cells did not render")
+	}
+}
+
+// TestRankBodyPanicRendersERR: a panic inside one simulated rank's body,
+// raised mid-run on the engine's process coroutine rather than in the
+// cell function itself, still reaches the cell's isolation and renders
+// as ERR while the other cells fill in.
+func TestRankBodyPanicRendersERR(t *testing.T) {
+	r := NewRunner(nil, Options{Parallelism: 2})
+	tab := numactlTable(r, "rank-panic", []sysRanks{{System: "tiger", Ranks: []int{2}}},
+		func(system string, ranks int, scheme affinity.Scheme) (float64, error) {
+			return runCell(r, CellKey{
+				Workload: "rank-panic", System: system, Ranks: ranks, Scheme: scheme, Scale: Quick,
+			}, func() (float64, error) {
+				res, err := r.runJob("rank-panic", system, ranks, scheme, func(rk *mpi.Rank) {
+					rk.Barrier()
+					if scheme == affinity.Interleave && rk.ID() == 1 {
+						panic("rank body exploded")
+					}
+					rk.Barrier()
+				})
+				if err != nil {
+					return 0, err
+				}
+				return res.Time, nil
+			})
+		})
+	var errCells, okCells int
+	for j := 2; j < 8; j++ {
+		switch tab.Cell(0, j) {
+		case report.Err:
+			errCells++
+		case report.NA:
+		default:
+			okCells++
+		}
+	}
+	if errCells != 1 || okCells == 0 {
+		t.Fatalf("ERR cells = %d, filled cells = %d; want exactly one ERR among filled cells", errCells, okCells)
+	}
+	errs := r.CellErrors()
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "rank body exploded") {
+		t.Fatalf("CellErrors = %v, want the one rank panic", errs)
 	}
 }
 

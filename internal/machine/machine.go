@@ -52,6 +52,12 @@ type Machine struct {
 	// compute durations; the capacity windows were already scheduled by
 	// ApplyFaults). Nil means the idealized fault-free machine.
 	perturb Perturb
+
+	// paths memoizes ReadPath, WritePath and CopyPath by pathKey. It is
+	// sparse — only the paths a run asks for — because a dense
+	// cores x sockets^2 table per machine costs real memory on
+	// many-node clusters.
+	paths map[uint64][]*sim.Resource
 }
 
 // New realizes spec inside engine eng.
@@ -160,64 +166,92 @@ func (m *Machine) Cache(c topology.CoreID) *mem.Cache { return m.caches[c] }
 // MC returns the memory controller resource of socket s.
 func (m *Machine) MC(s topology.SocketID) *sim.Resource { return m.mcs[s] }
 
-// linkResources maps a directed route to its resource sequence.
-func (m *Machine) linkResources(route []topology.DirectedLink) []*sim.Resource {
-	out := make([]*sim.Resource, 0, len(route))
-	for _, dl := range route {
+// pathKind selects which memoized resource path to build.
+type pathKind uint64
+
+const (
+	readPath pathKind = iota
+	writePath
+	copyPath
+)
+
+func pathKey(kind pathKind, core topology.CoreID, src, dst topology.SocketID) uint64 {
+	return uint64(kind)<<62 | uint64(core)<<32 | uint64(src)<<16 | uint64(dst)
+}
+
+// path returns the memoized path, building it on first use. Every caller
+// shares the returned slice, so it is clipped to its length: an append
+// (as internal/mpi does to splice in NIC resources) always copies rather
+// than writing into the memo's storage. Callers must not modify elements.
+func (m *Machine) path(kind pathKind, core topology.CoreID, src, dst topology.SocketID) []*sim.Resource {
+	key := pathKey(kind, core, src, dst)
+	if p, ok := m.paths[key]; ok {
+		return p
+	}
+	p := m.buildPath(kind, core, src, dst)
+	p = p[:len(p):len(p)]
+	if m.paths == nil {
+		m.paths = make(map[uint64][]*sim.Resource)
+	}
+	m.paths[key] = p
+	return p
+}
+
+// buildPath constructs a path: the core's issue port, its die's fabric
+// link on chiplet sockets, then for reads and copies the links from src
+// to the core's socket and src's controller, and for writes and
+// cross-node copies the links from the core's socket to dst and dst's
+// controller.
+func (m *Machine) buildPath(kind pathKind, core topology.CoreID, src, dst topology.SocketID) []*sim.Resource {
+	sock := m.Topo().SocketOf(core)
+	path := []*sim.Resource{m.issue[core]}
+	if fab := m.fabricFor(core); fab != nil {
+		path = append(path, fab)
+	}
+	if kind != writePath {
+		path = m.appendRoute(path, src, sock)
+		path = append(path, m.mcs[src])
+	}
+	if kind == writePath || (kind == copyPath && dst != src) {
+		path = m.appendRoute(path, sock, dst)
+		path = append(path, m.mcs[dst])
+	}
+	return path
+}
+
+// appendRoute appends the link resources of the route from a to b.
+func (m *Machine) appendRoute(path []*sim.Resource, a, b topology.SocketID) []*sim.Resource {
+	for _, dl := range m.Topo().Route(a, b) {
 		if dl.Reverse {
-			out = append(out, m.links[dl.Index][1])
+			path = append(path, m.links[dl.Index][1])
 		} else {
-			out = append(out, m.links[dl.Index][0])
+			path = append(path, m.links[dl.Index][0])
 		}
 	}
-	return out
+	return path
 }
 
 // ReadPath is the resource path for data flowing from memory node `node`
 // to a core: the core's issue port, its die's fabric link on chiplet
 // sockets, the links from node to the core's socket, and the node's
-// memory controller.
+// memory controller. The slice is shared and memoized (see path).
 func (m *Machine) ReadPath(core topology.CoreID, node topology.SocketID) []*sim.Resource {
-	sock := m.Topo().SocketOf(core)
-	path := []*sim.Resource{m.issue[core]}
-	if fab := m.fabricFor(core); fab != nil {
-		path = append(path, fab)
-	}
-	path = append(path, m.linkResources(m.Topo().Route(node, sock))...)
-	path = append(path, m.mcs[node])
-	return path
+	return m.path(readPath, core, node, node)
 }
 
 // WritePath is the resource path for data flowing from a core to memory
-// node `node`.
+// node `node`. The slice is shared and memoized (see path).
 func (m *Machine) WritePath(core topology.CoreID, node topology.SocketID) []*sim.Resource {
-	sock := m.Topo().SocketOf(core)
-	path := []*sim.Resource{m.issue[core]}
-	if fab := m.fabricFor(core); fab != nil {
-		path = append(path, fab)
-	}
-	path = append(path, m.linkResources(m.Topo().Route(sock, node))...)
-	path = append(path, m.mcs[node])
-	return path
+	return m.path(writePath, core, node, node)
 }
 
 // CopyPath is the resource path for a memory-to-memory copy performed by a
 // core (an MPI shared-buffer copy): read from src node, write to dst node.
 // Both controllers and both link routes are charged; the issue port is
-// charged once (it limits the copy loop's combined rate).
+// charged once (it limits the copy loop's combined rate). The slice is
+// shared and memoized (see path).
 func (m *Machine) CopyPath(core topology.CoreID, src, dst topology.SocketID) []*sim.Resource {
-	sock := m.Topo().SocketOf(core)
-	path := []*sim.Resource{m.issue[core]}
-	if fab := m.fabricFor(core); fab != nil {
-		path = append(path, fab)
-	}
-	path = append(path, m.linkResources(m.Topo().Route(src, sock))...)
-	path = append(path, m.mcs[src])
-	if dst != src {
-		path = append(path, m.linkResources(m.Topo().Route(sock, dst))...)
-		path = append(path, m.mcs[dst])
-	}
-	return path
+	return m.path(copyPath, core, src, dst)
 }
 
 // RoundTrip returns the load-to-use latency from a core on socket s to

@@ -2,11 +2,13 @@
 // simulation engine with a fluid-flow network for modeling bandwidth
 // contention.
 //
-// Processes are goroutine-backed coroutines: exactly one process executes at
-// a time, and control transfers between the scheduler and processes through
-// single-slot handoff channels, so simulations are fully deterministic given
-// the same inputs. Time is a float64 in seconds; simultaneous events fire in
-// the order they were scheduled.
+// Processes are coroutines: exactly one process executes at a time, and
+// control transfers between the scheduler and a process by a direct
+// iter.Pull coroutine switch (no channels, no trip through the Go
+// scheduler), so simulations are fully deterministic given the same
+// inputs. The package therefore needs a Go 1.23 or newer toolchain. Time
+// is a float64 in seconds; simultaneous events fire in the order they
+// were scheduled.
 //
 // Bandwidth-shared activities (memory streams, message copies) are modeled
 // as flows over paths of capacity-limited resources. Rates are assigned by
@@ -83,19 +85,19 @@ type Engine struct {
 	seq   uint64
 	queue eventHeap
 
-	yield chan struct{} // signaled by a process when it blocks or finishes
-
-	liveProcs    int
-	blockedProcs map[*Proc]string
+	// live holds every spawned, unfinished process; Proc.live is each
+	// one's index, so retiring is a swap-remove. The deadlock report and
+	// abort walk it.
+	live []*Proc
 
 	// killing is set by abort: woken processes unwind via a procKilled
 	// panic instead of resuming their bodies, so cancellation and
-	// deadlock detection release every goroutine instead of leaking
+	// deadlock detection release every coroutine instead of leaking
 	// parked workers for the life of the process.
 	killing bool
 
-	// idleWorkers are parked goroutines from finished processes, reused by
-	// Spawn so steady-state process churn creates no new goroutines.
+	// idleWorkers are parked coroutines from finished processes, reused by
+	// Spawn so steady-state process churn creates no new coroutines.
 	idleWorkers []*worker
 
 	// freeLight recycles finished lightweight processes (SpawnCont) so
@@ -129,8 +131,6 @@ type Engine struct {
 // NewEngine creates an empty simulation.
 func NewEngine() *Engine {
 	e := &Engine{
-		yield:         make(chan struct{}, 1),
-		blockedProcs:  make(map[*Proc]string),
 		settleWorkers: 1,
 	}
 	e.net = newFlowNet(e)
@@ -268,24 +268,29 @@ func (e *Engine) scheduleResume(t float64, p *Proc) {
 // Proc is a simulated process. Its methods must only be called from within
 // the process's own body function.
 //
-// A Proc has one of two backings. Goroutine-backed processes (Spawn) run
-// arbitrary re-entrant bodies that block mid-call-stack; control transfers
-// through channel handoff. Lightweight processes (SpawnCont) have no
-// goroutine at all: their body is a chain of explicit continuations that
-// the scheduler invokes inline, so blocking costs one closure instead of
-// a stack plus two channel operations per resume. Both backings share the
-// same wake paths (scheduleResume, WaitQueue, flow waiters), observation
-// states, and deadlock reporting.
+// A Proc has one of two backings. Coroutine-backed processes (Spawn) run
+// arbitrary re-entrant bodies that block mid-call-stack on a pooled
+// worker coroutine; control transfers by coroutine switch. Lightweight
+// processes (SpawnCont) have no stack at all: their body is a chain of
+// explicit continuations that the scheduler invokes inline, so blocking
+// costs one closure instead of a stack plus two coroutine switches per
+// resume. Both backings share the same wake paths (scheduleResume,
+// WaitQueue, flow waiters), observation states, and deadlock reporting.
 type Proc struct {
 	eng  *Engine
 	name string
-	wake chan struct{}
+	w    *worker // the worker running a coroutine-backed body
 	done bool
 
+	// wait labels the wait the process is parked on ("" while running);
+	// deadlock reports print it. live is the index in Engine.live.
+	wait string
+	live int
+
 	// light marks a continuation-backed process; cont is the armed
-	// continuation the next resume will invoke (nil while running), and
-	// start is the body's entry point, kept as a bare func(*Proc) so
-	// spawning never allocates a wrapper closure.
+	// continuation the next resume will invoke (nil while running).
+	// start is the body's entry point until its first resume, kept as a
+	// bare func(*Proc) so spawning never allocates a wrapper closure.
 	light bool
 	cont  func()
 	start func(*Proc)
@@ -307,28 +312,16 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Proc) Now() float64 { return p.eng.now }
 
-// worker is a reusable goroutine that runs process bodies one after
-// another. Each worker owns one wake channel; the Proc handed to it
-// borrows that channel for its lifetime, which ends before the worker is
-// recycled, so tokens can never leak between processes.
-type worker struct {
-	run  chan spawnReq
-	wake chan struct{}
-}
-
-type spawnReq struct {
-	p    *Proc
-	body func(*Proc)
-}
-
 // procKilled is the panic value used to unwind a blocked process during
-// abort; the worker loop swallows it and recycles the goroutine.
+// abort; the worker loop swallows it and recycles the coroutine.
 type procKilled struct{}
 
 // runBody executes a process body, absorbing the procKilled unwind that
-// abort injects into blocked processes. Any other panic propagates: a
-// workload bug must surface, not vanish into a worker goroutine.
-func runBody(req spawnReq) {
+// abort injects into blocked processes. Any other panic propagates: it
+// surfaces from the coroutine switch on the scheduler goroutine, where
+// RunContext's recover releases the engine and re-raises it to the
+// caller's isolation layer.
+func runBody(p *Proc, body func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(procKilled); !ok {
@@ -336,30 +329,7 @@ func runBody(req spawnReq) {
 			}
 		}
 	}()
-	req.body(req.p)
-}
-
-func (e *Engine) newWorker() *worker {
-	w := &worker{run: make(chan spawnReq, 1), wake: make(chan struct{}, 1)}
-	go func() {
-		for req := range w.run {
-			<-req.p.wake
-			if !e.killing { // a kill before first resume skips the body entirely
-				runBody(req)
-			}
-			if e.obs != nil {
-				e.procStateChange(req.p, stateBlockedQueue)
-			}
-			req.p.done = true
-			e.liveProcs--
-			// Recycle before yielding: the send below happens-before the
-			// scheduler resumes, so the append is never concurrent with a
-			// Spawn on the scheduler side.
-			e.idleWorkers = append(e.idleWorkers, w)
-			e.yield <- struct{}{}
-		}
-	}()
-	return w
+	body(p)
 }
 
 // Spawn creates a process that will begin executing body at the current
@@ -373,17 +343,36 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	} else {
 		w = e.newWorker()
 	}
-	p := &Proc{eng: e, name: name, wake: w.wake}
-	e.liveProcs++
+	p := &Proc{eng: e, name: name, w: w, start: body}
+	w.p = p
+	e.admit(p)
+	return p
+}
+
+// admit registers a new process as live and schedules its start event.
+func (e *Engine) admit(p *Proc) {
+	p.live = len(e.live)
+	e.live = append(e.live, p)
 	e.statSpawns++
 	if e.obs != nil {
 		p.state = stateBlockedQueue // parked until the start event fires
 		p.stateSince = e.now
 		e.obs.procs = append(e.obs.procs, p)
 	}
-	w.run <- spawnReq{p: p, body: body}
 	e.scheduleResume(e.now, p)
-	return p
+}
+
+// retire marks p finished and drops it from the live set.
+func (e *Engine) retire(p *Proc) {
+	if e.obs != nil {
+		e.procStateChange(p, stateBlockedQueue)
+	}
+	p.done = true
+	last := e.live[len(e.live)-1]
+	e.live[p.live] = last
+	last.live = p.live
+	e.live[len(e.live)-1] = nil
+	e.live = e.live[:len(e.live)-1]
 }
 
 // SpawnCont creates a lightweight, continuation-backed process that will
@@ -406,25 +395,14 @@ func (e *Engine) SpawnCont(name string, start func(p *Proc)) *Proc {
 	}
 	p.name = name
 	p.start = start
-	e.liveProcs++
-	e.statSpawns++
-	if e.obs != nil {
-		p.state = stateBlockedQueue // parked until the start event fires
-		p.stateSince = e.now
-		e.obs.procs = append(e.obs.procs, p)
-	}
-	e.scheduleResume(e.now, p)
+	e.admit(p)
 	return p
 }
 
 // finishLight retires a completed lightweight process, mirroring the tail
-// of the worker loop for goroutine-backed processes.
+// of the worker loop for coroutine-backed processes.
 func (e *Engine) finishLight(p *Proc) {
-	if e.obs != nil {
-		e.procStateChange(p, stateBlockedQueue)
-	}
-	p.done = true
-	e.liveProcs--
+	e.retire(p)
 	if e.obs == nil {
 		e.freeLight = append(e.freeLight, p)
 	}
@@ -435,7 +413,7 @@ func (e *Engine) resume(p *Proc) {
 	if p.done {
 		panic("sim: resuming finished process " + p.name)
 	}
-	delete(e.blockedProcs, p)
+	p.wait = ""
 	if e.obs != nil {
 		e.procStateChange(p, stateRunning)
 	}
@@ -453,8 +431,7 @@ func (e *Engine) resume(p *Proc) {
 		}
 		return
 	}
-	p.wake <- struct{}{}
-	<-e.yield
+	p.w.next()
 }
 
 // park records a lightweight process as blocked and arms k as the step to
@@ -465,7 +442,7 @@ func (p *Proc) park(kind procState, why string, k func()) {
 		panic("sim: lightweight process " + p.name + " parked without a continuation")
 	}
 	e := p.eng
-	e.blockedProcs[p] = why
+	p.wait = why
 	if e.obs != nil {
 		e.procStateChange(p, kind)
 	}
@@ -482,13 +459,13 @@ func (p *Proc) block(kind procState, why string) {
 		// deferred cleanup sleeping); re-panic rather than park forever.
 		panic(procKilled{})
 	}
-	e.blockedProcs[p] = why
+	p.wait = why
 	if e.obs != nil {
 		e.procStateChange(p, kind)
 	}
-	e.yield <- struct{}{}
-	<-p.wake
-	if e.killing {
+	// yield reports false only if the worker was stopped under a parked
+	// body, which abort never does; unwind rather than run on.
+	if !p.w.yield(struct{}{}) || e.killing {
 		panic(procKilled{})
 	}
 }
@@ -551,7 +528,7 @@ func (e *Engine) Run() {
 // watchdog that turns a would-be silent hang into a diagnosis naming the
 // blocked processes and their wait labels.
 //
-// On any return the engine has released every goroutine it created;
+// On any return the engine has released every coroutine it created;
 // a non-nil error leaves the simulation state unusable (create a fresh
 // engine per run, as every caller in this repository already does).
 //
@@ -564,9 +541,10 @@ func (e *Engine) RunContext(ctx context.Context) error {
 		return e.cancel(err)
 	}
 	// A panic on the scheduler side (an event callback, a lightweight
-	// process's continuation, the flow network) must not strand the
-	// engine's parked goroutines: release them, then let the panic
-	// propagate to the caller's isolation layer.
+	// process's continuation, the flow network) or in a process body
+	// (re-raised by the coroutine switch) must not strand the engine's
+	// parked coroutines: release them, then let the panic propagate to
+	// the caller's isolation layer.
 	defer func() {
 		if r := recover(); r != nil {
 			e.abort()
@@ -604,13 +582,14 @@ func (e *Engine) RunContext(ctx context.Context) error {
 			ev.fire()
 		}
 	}
-	if e.liveProcs > 0 {
-		blocked := make([]BlockedProc, 0, len(e.blockedProcs))
-		for p, why := range e.blockedProcs {
-			blocked = append(blocked, BlockedProc{Name: p.name, Wait: why})
+	if len(e.live) > 0 {
+		// With the heap drained, every live process is parked on a wait.
+		blocked := make([]BlockedProc, len(e.live))
+		for i, p := range e.live {
+			blocked[i] = BlockedProc{Name: p.name, Wait: p.wait}
 		}
 		sort.Slice(blocked, func(i, j int) bool { return blocked[i].Name < blocked[j].Name })
-		err := &DeadlockError{Time: e.now, Live: e.liveProcs, Blocked: blocked}
+		err := &DeadlockError{Time: e.now, Live: len(e.live), Blocked: blocked}
 		e.abort()
 		return err
 	}
@@ -625,56 +604,42 @@ func (e *Engine) cancel(cause error) error {
 	return err
 }
 
-// abort unwinds every live process and releases all worker goroutines.
-// Live processes are parked on their wake channels in one of two places:
-// blocked inside block() (tracked in blockedProcs), or waiting for their
-// start resume event (still in the queue as evResume). Waking them with
-// killing set makes block() unwind via procKilled and makes the worker
-// skip never-started bodies, so liveProcs drains to zero without running
-// any further simulation.
+// abort unwinds every live process and releases all worker coroutines.
+// The pending events are dropped, then each live process is resumed with
+// killing set: a body parked in block() unwinds via procKilled, and a
+// never-started body is skipped, so the live set drains to zero without
+// running any further simulation.
 func (e *Engine) abort() {
 	e.killing = true
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		if ev.kind == evResume {
-			e.kill(ev.proc)
-		}
-	}
-	for len(e.blockedProcs) > 0 {
-		for p := range e.blockedProcs {
-			e.kill(p)
-			break
-		}
+	e.queue = nil
+	for n := len(e.live); n > 0; n = len(e.live) {
+		e.kill(e.live[n-1])
 	}
 	e.shutdown()
 }
 
-// kill unwinds one parked process (no-op if it already finished — a
-// sleeping process appears both in the queue and in blockedProcs).
-// Goroutine-backed processes unwind via the procKilled panic; lightweight
-// processes have no stack to unwind, so dropping the armed continuation
-// retires them directly.
+// kill unwinds one live process. Coroutine-backed processes unwind via
+// the procKilled panic; lightweight processes have no stack to unwind, so
+// dropping the armed continuation retires them directly.
 func (e *Engine) kill(p *Proc) {
-	if p.done {
-		return
-	}
-	delete(e.blockedProcs, p)
 	if p.light {
 		p.cont = nil
 		p.start = nil
 		e.finishLight(p)
 		return
 	}
-	p.wake <- struct{}{}
-	<-e.yield
+	p.w.next()
+	if !p.done { // its coroutine already died with a body panic
+		e.retire(p)
+	}
 }
 
-// shutdown releases the idle worker goroutines so engines do not pin
+// shutdown releases the idle worker coroutines so engines do not pin
 // goroutines after their run completes, and folds the engine's activity
 // counters into the process-wide totals.
 func (e *Engine) shutdown() {
 	for i, w := range e.idleWorkers {
-		close(w.run)
+		w.stop()
 		e.idleWorkers[i] = nil
 	}
 	e.idleWorkers = e.idleWorkers[:0]
