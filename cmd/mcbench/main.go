@@ -5,7 +5,7 @@
 //
 //	mcbench [-scale quick|full] [-format text|md|csv] [-out DIR] [-j N]
 //	        [-store DIR] [-resume] [-timeout D] [-json FILE] [-delta FILE]
-//	        [-delta-tol F] [-settle N] [-faults PLAN] [-fault-seed N]
+//	        [-delta-tol F] [-faults PLAN] [-fault-seed N]
 //	        [-retries N] [-cpuprofile FILE] [-memprofile FILE]
 //	        <id>...|all|list
 //	mcbench -sweep GRID [-remote URL] [-priority N] [-client ID]
@@ -87,9 +87,8 @@ func main() {
 	resume := flag.Bool("resume", false, "with -store: re-run cells whose stored status is error instead of reporting the recorded failure")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per simulated cell (0 = unbounded), e.g. 30s")
 	jsonOut := flag.String("json", "", "write per-experiment benchmark records (wall time, events, settles, allocs, ranks, peak heap) to FILE; runs experiments serially")
-	deltaFile := flag.String("delta", "", "with -json: compare the new records against the committed snapshot FILE and fail on a >10% wall-time or allocation regression")
+	deltaFile := flag.String("delta", "", "with -json: compare the new records against the committed snapshot FILE and fail on any events/flows/settles difference (a model change) or a >10% wall-time or allocation regression")
 	note := flag.String("note", "", "free-form note recorded in the -json output")
-	settle := flag.Int("settle", 0, "per-cell parallel settle workers; >1 opts into component-mode settling (0/1 = serial union settling)")
 	faults := flag.String("faults", "", `deterministic fault plan injected into every cell, e.g. "noise:core=3,period=1ms,frac=0.1;linkdown:s0-s1,t=2ms..5ms"`)
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault plan's random draws (phases, cell failures)")
 	retries := flag.Int("retries", 0, "re-attempts per cell that fails with a transient fault (0 = no retry)")
@@ -162,13 +161,12 @@ func main() {
 		fatalf("-screen-bench must be non-negative")
 	}
 	opts := experiments.Options{
-		Parallelism:   *jobs,
-		Resume:        *resume,
-		CellTimeout:   *timeout,
-		TraceDir:      *traceDir,
-		Retries:       *retries,
-		RetryBackoff:  100 * time.Millisecond,
-		SettleWorkers: *settle,
+		Parallelism:  *jobs,
+		Resume:       *resume,
+		CellTimeout:  *timeout,
+		TraceDir:     *traceDir,
+		Retries:      *retries,
+		RetryBackoff: 100 * time.Millisecond,
 	}
 	if *faults != "" {
 		plan, err := fault.Parse(*faults, *faultSeed)
@@ -651,11 +649,14 @@ func measure(id string, sampleHeap bool, fn func()) benchRecord {
 }
 
 // checkBenchDelta compares fresh records against a committed snapshot and
-// reports an error when any experiment regressed by more than the -delta-tol
-// fraction in wall time or allocations. Experiments absent from the snapshot are skipped
-// (new artifacts are not regressions) but logged, so lost coverage is
-// visible — and if *nothing* overlaps (say, a baseline captured at a
-// different -scale), the gate errors out instead of passing vacuously.
+// reports an error when any experiment's work counters (events, flows,
+// settles) differ from the snapshot at all — a model change, which needs
+// a deliberate snapshot bump — or when it regressed by more than the
+// -delta-tol fraction in wall time or allocations. Experiments absent from
+// the snapshot are skipped (new artifacts are not regressions) but logged,
+// so lost coverage is visible — and if *nothing* overlaps (say, a baseline
+// captured at a different -scale), the gate errors out instead of passing
+// vacuously.
 // Wall time is only compared when the baseline ran long enough (≥50ms)
 // for the ratio to mean anything.
 func checkBenchDelta(path string, records []benchRecord, tol float64) error {
@@ -674,7 +675,7 @@ func checkBenchDelta(path string, records []benchRecord, tol float64) error {
 		byID[r.ID] = r
 	}
 	tolerance := 1 + tol
-	var regressions, skipped []string
+	var modelChanges, regressions, skipped []string
 	compared := 0
 	for _, r := range records {
 		b, ok := byID[r.ID]
@@ -683,6 +684,11 @@ func checkBenchDelta(path string, records []benchRecord, tol float64) error {
 			continue
 		}
 		compared++
+		if r.Events != b.Events || r.Flows != b.Flows || r.Settles != b.Settles {
+			modelChanges = append(modelChanges,
+				fmt.Sprintf("%s: events/flows/settles %d/%d/%d vs baseline %d/%d/%d",
+					r.ID, r.Events, r.Flows, r.Settles, b.Events, b.Flows, b.Settles))
+		}
 		if b.Seconds >= 0.05 && r.Seconds > b.Seconds*tolerance {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: wall time %.3fs vs baseline %.3fs (+%.0f%%)",
@@ -702,8 +708,16 @@ func checkBenchDelta(path string, records []benchRecord, tol float64) error {
 		return fmt.Errorf("-delta: none of the %d fresh records match an experiment in %s — nothing was compared (baseline from a different id set or -scale?)",
 			len(records), path)
 	}
+	var problems []string
+	if len(modelChanges) > 0 {
+		problems = append(problems, fmt.Sprintf("model change vs %s (work counters must match the snapshot exactly):\n  %s",
+			path, strings.Join(modelChanges, "\n  ")))
+	}
 	if len(regressions) > 0 {
-		return fmt.Errorf("benchmark regression vs %s:\n  %s", path, strings.Join(regressions, "\n  "))
+		problems = append(problems, fmt.Sprintf("benchmark regression vs %s:\n  %s", path, strings.Join(regressions, "\n  ")))
+	}
+	if len(problems) > 0 {
+		return errors.New(strings.Join(problems, "\n"))
 	}
 	return nil
 }

@@ -60,19 +60,6 @@ type Options struct {
 	// per attempt with deterministic seeded jitter. Zero retries
 	// immediately.
 	RetryBackoff time.Duration
-	// SettleWorkers, when > 1, opts every cell routed through runJob into
-	// component-mode parallel flow settling with at most that many workers
-	// per cell (mcbench -settle). 0 or 1 keeps the legacy serial union
-	// settling, whose float accumulation the golden artifacts pin.
-	//
-	// Composition with Parallelism is multiplicative — up to Parallelism
-	// cells may each want SettleWorkers fill goroutines — so the engine
-	// backstops the product with a process-wide token budget of
-	// GOMAXPROCS-1 extra settle workers (see sim.Engine.SetSettleWorkers).
-	// A cell that cannot acquire tokens settles with fewer workers without
-	// blocking, and component-mode output is byte-identical for every
-	// worker count, so the shortfall never changes results.
-	SettleWorkers int
 }
 
 // Runner executes experiments: it owns the worker pool, the in-process
@@ -135,16 +122,6 @@ func (r *Runner) Run(e Experiment, s Scale) (tables []*report.Table, err error) 
 	return tables, nil
 }
 
-// SetParallelism rebounds the worker pool; n < 1 means serial.
-func (r *Runner) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.mu.Lock()
-	r.opts.Parallelism = n
-	r.mu.Unlock()
-}
-
 func (r *Runner) parallelism() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -157,21 +134,6 @@ func (r *Runner) SetTraceDir(dir string) {
 	r.opts.TraceDir = dir
 	r.traceWritten = map[string]bool{}
 	r.mu.Unlock()
-}
-
-// ClearCache drops every memoized in-process cell result (the on-disk
-// store, if any, is untouched). Tests use it to force re-simulation.
-func (r *Runner) ClearCache() {
-	r.mu.Lock()
-	r.cache = map[CellKey]*cacheEntry{}
-	r.mu.Unlock()
-}
-
-// CacheSize reports the number of memoized cells.
-func (r *Runner) CacheSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cache)
 }
 
 // CellsRun reports how many cells were actually simulated (store hits
@@ -226,14 +188,6 @@ func (r *Runner) Faults() *fault.Plan {
 	return r.opts.Faults
 }
 
-// SettleWorkers reports the per-cell settle-worker bound; 0 or 1 means
-// the legacy serial union settling.
-func (r *Runner) SettleWorkers() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.opts.SettleWorkers
-}
-
 func (r *Runner) retryPolicy() (int, time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -251,46 +205,6 @@ func (r *Runner) jobContext() (context.Context, context.CancelFunc) {
 	}
 	return r.ctx, func() {}
 }
-
-// Default returns the process-wide runner backing the deprecated
-// package-level functions (SetParallelism, ClearCache, SetTraceDir). New
-// code should construct its own Runner.
-func Default() *Runner {
-	defaultOnce.Do(func() {
-		defaultRunner = NewRunner(context.Background(), Options{})
-	})
-	return defaultRunner
-}
-
-var (
-	defaultOnce   sync.Once
-	defaultRunner *Runner
-)
-
-// SetParallelism bounds the default runner's worker pool.
-//
-// Deprecated: construct a Runner with Options{Parallelism: n}.
-func SetParallelism(n int) { Default().SetParallelism(n) }
-
-// Parallelism reports the default runner's worker bound.
-//
-// Deprecated: use your own Runner.
-func Parallelism() int { return Default().parallelism() }
-
-// ClearCache drops the default runner's memoized cells.
-//
-// Deprecated: construct a fresh Runner instead.
-func ClearCache() { Default().ClearCache() }
-
-// CacheSize reports the default runner's memoized cell count.
-//
-// Deprecated: use Runner.CacheSize.
-func CacheSize() int { return Default().CacheSize() }
-
-// SetTraceDir enables trace capture on the default runner.
-//
-// Deprecated: construct a Runner with Options{TraceDir: dir}.
-func SetTraceDir(dir string) { Default().SetTraceDir(dir) }
 
 // workerPanic carries a worker goroutine's panic to the caller.
 type workerPanic struct{ v any }
@@ -387,23 +301,15 @@ func (k CellKey) String() string {
 // sim.ModelVersion participates so entries from an older engine
 // generation never alias current results; the runner's fault plan (its
 // canonical string and seed) participates so perturbed results never
-// alias clean ones. Component-mode settling (SettleWorkers > 1) tags the
-// model string: its per-component float accumulation can differ from the
-// union-mode baseline in the last ULPs, so the two must never share
-// entries. The worker count itself is deliberately absent — component
-// mode is byte-identical for every count.
+// alias clean ones.
 func (r *Runner) storeKey(k CellKey) store.Key {
-	model := sim.ModelVersion
-	if r.SettleWorkers() > 1 {
-		model += "+csettle"
-	}
 	sk := store.Key{
 		Workload: k.Workload,
 		System:   k.System,
 		Ranks:    k.Ranks,
 		Scheme:   k.Scheme.String(),
 		Scale:    k.Scale.String(),
-		Model:    model,
+		Model:    sim.ModelVersion,
 	}
 	if plan := r.Faults(); plan != nil {
 		sk.Faults = plan.String()

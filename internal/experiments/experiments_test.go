@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"multicore/internal/report"
 	"strconv"
 	"strings"
@@ -144,15 +145,18 @@ func TestTable2HasDashesAt16OneMPI(t *testing.T) {
 	}
 }
 
-// mustRun executes an experiment at Quick scale on the shared default
-// runner (its cache keeps cells shared across tests to one simulation).
+// testRunner is shared by every test that runs whole experiments, so its
+// cache keeps cells shared across tests to one simulation.
+var testRunner = NewRunner(context.Background(), Options{})
+
+// mustRun executes an experiment at Quick scale on the shared test runner.
 func mustRun(t *testing.T, id string) []*report.Table {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("no experiment %q", id)
 	}
-	tabs, err := Default().Run(e, Quick)
+	tabs, err := testRunner.Run(e, Quick)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -177,7 +181,7 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tabs, err := Default().Run(e, Quick)
+			tabs, err := testRunner.Run(e, Quick)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}

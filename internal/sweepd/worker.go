@@ -37,9 +37,6 @@ type WorkerOptions struct {
 	// Parallelism is how many cells this worker runs concurrently;
 	// < 1 means 1.
 	Parallelism int
-	// SettleWorkers opts cells into component-mode parallel settling
-	// (see experiments.Options.SettleWorkers).
-	SettleWorkers int
 	// Client is the HTTP client; nil uses a default with a timeout above
 	// the coordinator's poll window.
 	Client *http.Client
@@ -302,12 +299,11 @@ func (w *Worker) executeCell(ctx context.Context, asg Assignment) (CellResult, b
 		return resultFor(asg.Cell, 0, err), false
 	}
 	opts := experiments.Options{
-		Parallelism:   1,
-		Resume:        true,
-		Retries:       asg.Retries,
-		RetryBackoff:  50 * time.Millisecond,
-		SettleWorkers: w.opts.SettleWorkers,
-		Store:         nil,
+		Parallelism:  1,
+		Resume:       true,
+		Retries:      asg.Retries,
+		RetryBackoff: 50 * time.Millisecond,
+		Store:        nil,
 	}
 	if w.st != nil {
 		opts.Store = w.st
