@@ -41,8 +41,6 @@ type Job struct {
 	// Net is the inter-node interconnect for Nodes > 1 (default
 	// RapidArray, the Cray XD1 fabric connecting Tiger's nodes).
 	Net *mpi.NetSpec
-	// Seed feeds rank-local RNGs.
-	Seed int64
 	// Trace, when non-nil, records per-rank spans for the run (see
 	// sim.Trace); nil disables tracing with no overhead.
 	Trace *sim.Trace
@@ -99,7 +97,6 @@ func RunContext(ctx context.Context, j Job, body func(*mpi.Rank)) (*mpi.Result, 
 		Nodes:         j.Nodes,
 		Net:           j.Net,
 		DeriveBufMode: j.BufMode == nil,
-		Seed:          j.Seed,
 		Trace:         j.Trace,
 		Observe:       j.Observe,
 		Faults:        j.Faults,

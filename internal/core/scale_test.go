@@ -82,10 +82,12 @@ func TestScaleSmoke10kRanks(t *testing.T) {
 	// ~4KB/rank of stack is inherent; helpers, messages, and flows ride
 	// the continuation/arena paths and add heap measured in hundreds of
 	// bytes per rank plus uncollected garbage. Today the cell sits around
-	// 15KB/rank mid-run; 32KB/rank is loose enough for GC-timing noise
+	// 10KB/rank mid-run; 32KB/rank is loose enough for GC-timing noise
 	// yet fails fast if helpers regress to goroutines (stack blow-up) or
 	// spawn/teardown starts allocating per message.
 	perRank := (mid.HeapAlloc + mid.StackInuse) / totalRanks
+	t.Logf("mid-run footprint %d B/rank: heap %d B/rank + stacks %d B/rank",
+		perRank, mid.HeapAlloc/totalRanks, mid.StackInuse/totalRanks)
 	if perRank > 32*1024 {
 		t.Errorf("mid-run footprint %d B/rank (heap %d MB + stacks %d MB), want <= 32KB/rank",
 			perRank, mid.HeapAlloc>>20, mid.StackInuse>>20)

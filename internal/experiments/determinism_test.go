@@ -5,21 +5,35 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"multicore/internal/report"
 )
 
-// renderAll renders an experiment's tables through the given runner to
-// one canonical string.
-func renderAll(t *testing.T, r *Runner, e Experiment) string {
+// runTables runs an experiment at quick scale through the given runner.
+func runTables(t *testing.T, r *Runner, e Experiment) []*report.Table {
 	t.Helper()
 	tabs, err := r.Run(e, Quick)
 	if err != nil {
 		t.Fatalf("%s: %v", e.ID, err)
 	}
+	return tabs
+}
+
+// renderAll renders an experiment's tables through the given runner to
+// one canonical string.
+func renderAll(t *testing.T, r *Runner, e Experiment) string {
+	t.Helper()
+	return textOf(runTables(t, r, e))
+}
+
+// textOf concatenates the text renders of tables.
+func textOf(tabs []*report.Table) string {
 	var b strings.Builder
 	for _, tab := range tabs {
 		b.WriteString(tab.Text())
@@ -31,7 +45,10 @@ func renderAll(t *testing.T, r *Runner, e Experiment) string {
 // TestSerialParallelIdentical is the determinism regression for the
 // parallel executor: every experiment must render byte-identical tables
 // whether its cells run serially or on a many-worker pool. Each pass
-// gets a fresh runner so both actually simulate.
+// gets a fresh runner so both actually simulate. The serial pass's
+// markdown must also equal the committed results/<id>.md byte for byte,
+// so every artifact's output is pinned (regenerate them with
+// `mcbench -format md -out results all` after a deliberate model change).
 func TestSerialParallelIdentical(t *testing.T) {
 	exps := All()
 	if testing.Short() {
@@ -49,11 +66,27 @@ func TestSerialParallelIdentical(t *testing.T) {
 	for _, e := range exps {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			serial := renderAll(t, NewRunner(nil, Options{Parallelism: 1}), e)
+			tabs := runTables(t, NewRunner(nil, Options{Parallelism: 1}), e)
+			serial := textOf(tabs)
 			parallel := renderAll(t, NewRunner(nil, Options{Parallelism: 8}), e)
 			if serial != parallel {
 				t.Errorf("%s: serial and parallel runs render different tables\nserial:\n%s\nparallel:\n%s",
 					e.ID, serial, parallel)
+			}
+			path := filepath.Join("..", "..", "results", e.ID+".md")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The artifact file mcbench writes: a header, then each table.
+			var md strings.Builder
+			fmt.Fprintf(&md, "# %s — %s\n\nPaper: %s\n\n", e.ID, e.Title, e.Paper)
+			for _, tab := range tabs {
+				md.WriteString(tab.Markdown())
+				md.WriteString("\n")
+			}
+			if got := md.String(); got != string(want) {
+				t.Errorf("%s: serial markdown differs from %s\ngot:\n%s\nwant:\n%s", e.ID, path, got, want)
 			}
 		})
 	}

@@ -235,9 +235,8 @@ func parMap[T any](r *Runner, n int, fn func(i int) T) []T {
 		return out
 	}
 	var (
-		wg    sync.WaitGroup
-		next  int
-		idxMu sync.Mutex
+		wg   sync.WaitGroup
+		next atomic.Int64
 
 		panicOnce sync.Once
 		panicked  *workerPanic
@@ -250,23 +249,20 @@ func parMap[T any](r *Runner, n int, fn func(i int) T) []T {
 				if r.ctx.Err() != nil {
 					return
 				}
-				idxMu.Lock()
-				i := next
-				next++
-				idxMu.Unlock()
+				i := int(next.Add(1) - 1)
 				if i >= n {
 					return
 				}
 				func() {
 					defer func() {
 						if p := recover(); p != nil {
+							// Exhaust the index feed first, so other
+							// workers stop claiming cells instead of
+							// simulating the rest of the grid before the
+							// re-panic. A lock-free store cannot be held
+							// off by workers contending for the feed.
+							next.Store(int64(n))
 							panicOnce.Do(func() { panicked = &workerPanic{v: p} })
-							// Exhaust the index feed so other workers stop
-							// claiming cells instead of simulating the rest
-							// of the grid before the re-panic.
-							idxMu.Lock()
-							next = n
-							idxMu.Unlock()
 						}
 					}()
 					out[i] = fn(i)

@@ -3,7 +3,6 @@ package mpi
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"multicore/internal/affinity"
 	"multicore/internal/machine"
@@ -117,7 +116,6 @@ type Config struct {
 	// working set, as a migration or preemption would cause. Zero
 	// disables it.
 	OSMigrationPeriod float64
-	Seed              int64
 	// Trace, when non-nil, receives one span per accounted rank interval
 	// (pid = rank, tid 0 = main process) plus resource-rate counters when
 	// Observe is also set. Nil (the default) records nothing and keeps
@@ -331,7 +329,6 @@ func RunContext(ctx context.Context, cfg Config, body func(*Rank)) (*Result, err
 			bd:    &res.Breakdown[i],
 			inbox: map[int][]*message{},
 			recvQ: map[int]*sim.WaitQueue{},
-			rng:   rand.New(rand.NewSource(cfg.Seed*1000003 + int64(i))),
 		}
 		r.dist = b.Placement(cfg.Spec.Topo, cfg.Spec.Topo.NumSockets)
 		r.home = homeNode(r.dist, cfg.Spec.Topo.SocketOf(b.Core))
@@ -467,7 +464,6 @@ type Rank struct {
 	cpu  *machine.CPU
 	dist mem.Placement
 	home topology.SocketID
-	rng  *rand.Rand
 
 	// Time-attribution state (see breakdown.go): the breakdown being
 	// filled, the last accounted timestamp, the CPU compute seconds at
@@ -497,9 +493,6 @@ func (r *Rank) Now() float64 { return r.proc.Now() }
 
 // CPU returns the rank's machine execution context.
 func (r *Rank) CPU() *machine.CPU { return r.cpu }
-
-// RNG returns the rank's deterministic random source.
-func (r *Rank) RNG() *rand.Rand { return r.rng }
 
 // Home returns the rank's primary memory node.
 func (r *Rank) Home() topology.SocketID { return r.home }

@@ -8,13 +8,16 @@
 // scheduler), so simulations are fully deterministic given the same
 // inputs. The package therefore needs a Go 1.23 or newer toolchain. Time
 // is a float64 in seconds; simultaneous events fire in the order they
-// were scheduled.
+// were scheduled. Future events wait in a binary heap; events scheduled
+// for the current instant skip it and wait in a FIFO lane, which drains
+// after the heap's events due at that instant.
 //
 // Bandwidth-shared activities (memory streams, message copies) are modeled
 // as flows over paths of capacity-limited resources. Rates are assigned by
 // max-min fairness (progressive filling) and resettled whenever the flow
 // set changes, which reproduces contention effects such as two cores sharing
-// one memory controller.
+// one memory controller. Each resource keeps its flows in admission order,
+// which fixes the floating-point order of every rate sum without sorting.
 package sim
 
 import (
@@ -84,6 +87,14 @@ type Engine struct {
 	now   float64
 	seq   uint64
 	queue eventHeap
+
+	// lane holds the events scheduled for the current instant, in
+	// schedule order from laneHead on. They bypass the heap: every heap
+	// event due at the same instant was scheduled before the clock got
+	// there, so draining the heap's share first and the lane after it
+	// keeps (time, seq) order.
+	lane     []event
+	laneHead int
 
 	// live holds every spawned, unfinished process; Proc.live is each
 	// one's index, so retiring is a swap-remove. The deadlock report and
@@ -209,16 +220,21 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// schedule stamps ev with (t, next seq) and enqueues it. Scheduling in the
-// past or at a NaN timestamp panics: the former violates causality, the
-// latter corrupts the event heap's ordering (every comparison against NaN
-// is false) and would silently break determinism.
+// schedule stamps ev with (t, next seq) and enqueues it: on the lane if
+// it is due now, on the heap otherwise. Scheduling in the past or at a
+// NaN timestamp panics: the former violates causality, the latter
+// corrupts the event heap's ordering (every comparison against NaN is
+// false) and would silently break determinism.
 func (e *Engine) schedule(t float64, ev event) {
 	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", t, e.now))
 	}
 	e.seq++
 	ev.at, ev.seq = t, e.seq
+	if t == e.now {
+		e.lane = append(e.lane, ev)
+		return
+	}
 	e.queue.push(ev)
 }
 
@@ -523,14 +539,25 @@ func (e *Engine) RunContext(ctx context.Context) error {
 		}
 	}()
 	for {
-		if e.net.dirty && (len(e.queue) == 0 || e.queue[0].at > e.now) {
+		heapDue := len(e.queue) > 0 && e.queue[0].at == e.now
+		laneDue := e.laneHead < len(e.lane)
+		if e.net.dirty && !heapDue && !laneDue {
 			e.net.flush()
 			continue // the flush schedules the next completion event
 		}
-		if len(e.queue) == 0 {
+		// Heap events due now precede the lane (see Engine.lane).
+		var ev event
+		if laneDue && !heapDue {
+			ev = e.lane[e.laneHead]
+			e.lane[e.laneHead] = event{} // release the proc/fire references
+			if e.laneHead++; e.laneHead == len(e.lane) {
+				e.lane, e.laneHead = e.lane[:0], 0
+			}
+		} else if len(e.queue) > 0 {
+			ev = e.queue.pop()
+		} else {
 			break
 		}
-		ev := e.queue.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}
@@ -582,7 +609,7 @@ func (e *Engine) cancel(cause error) error {
 // running any further simulation.
 func (e *Engine) abort() {
 	e.killing = true
-	e.queue = nil
+	e.queue, e.lane, e.laneHead = nil, nil, 0
 	for n := len(e.live); n > 0; n = len(e.live) {
 		e.kill(e.live[n-1])
 	}

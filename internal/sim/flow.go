@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Resource is a capacity-limited element of the flow network: a memory
@@ -12,7 +14,7 @@ type Resource struct {
 	Name string
 	Cap  float64 // bytes per second
 
-	flows []flowRef // active flow crossings, unordered (swap-delete)
+	flows []flowRef // active flow crossings in admission order
 
 	// net is the flow network that first admitted a flow over this
 	// resource; the utilization getters flush pending admissions through
@@ -34,7 +36,7 @@ type Resource struct {
 	// is "touched" by the current pass iff epoch matches the FlowNet's.
 	epoch  uint64
 	avail  float64 // remaining headroom at the current filling level
-	active int     // unfrozen flows crossing the resource
+	active int     // unfrozen crossings of the resource
 
 	// Observation (populated only when the engine's observer is active):
 	// the piecewise-constant used-rate timeline, accrued in settle.
@@ -44,8 +46,8 @@ type Resource struct {
 
 // flowRef is one crossing of a flow over a resource. pi is the crossing's
 // index in the flow's path (paths may cross the same resource more than
-// once), so a swap-delete that moves this entry can repair the flow-side
-// slot table in O(1).
+// once), so a delete that moves this entry can repair the flow-side slot
+// table in O(1).
 type flowRef struct {
 	f  *Flow
 	pi int32
@@ -95,6 +97,7 @@ type Flow struct {
 	waiters   []*Proc
 	onDone    []func()
 	done      bool
+	frozen    bool // rate fixed by the current filling pass
 	released  bool // returned to the arena; guards double release
 	label     string
 	seq       uint64
@@ -103,7 +106,7 @@ type Flow struct {
 	net       *FlowNet
 
 	// slots[k] is the index of path crossing k in path[k].flows, kept in
-	// sync by the swap-deletes so retirement needs no membership scans.
+	// sync by removeCrossing so retirement needs no membership scans.
 	// slotsBuf keeps typical paths allocation-free, pathBuf does the same
 	// for the flow-owned path copy, and waitersBuf for the common
 	// single-waiter (Transfer) case. Long paths spill into pathSpill and
@@ -117,16 +120,19 @@ type Flow struct {
 	waitersBuf [2]*Proc
 }
 
-// removeCrossing drops crossing k of f from the resource's flow list by
-// swap-delete, repairing the moved entry's slot index.
+// removeCrossing drops crossing k of f from the resource's flow list,
+// shifting the later crossings down and repairing their slot indices so
+// the list stays in admission order.
 func (r *Resource) removeCrossing(f *Flow, k int) {
-	s := f.slots[k]
-	last := int32(len(r.flows) - 1)
-	moved := r.flows[last]
-	r.flows[s] = moved
-	moved.f.slots[moved.pi] = s
+	s := int(f.slots[k])
+	copy(r.flows[s:], r.flows[s+1:])
+	last := len(r.flows) - 1
 	r.flows[last] = flowRef{}
 	r.flows = r.flows[:last]
+	for i := s; i < last; i++ {
+		fr := r.flows[i]
+		fr.f.slots[fr.pi] = int32(i)
+	}
 }
 
 // Rate returns the flow's current allocated rate in bytes/second.
@@ -154,6 +160,11 @@ func (f *Flow) Done() bool { return f.done }
 // admission and its flush, no progress is ever accrued under pre-flush
 // rates. Readers that can observe rates or utilization mid-timestamp
 // (Flow.Rate, Resource.BytesServed) flush on demand.
+//
+// Every resource keeps its crossings in admission order (removeCrossing
+// deletes in place), so the one order the fill is sensitive to — the
+// floating-point sum behind each used rate — comes from the resource
+// itself and no pass sorts a component.
 type FlowNet struct {
 	eng        *Engine
 	flows      []*Flow // active flows, unordered (swap-delete)
@@ -173,15 +184,16 @@ type FlowNet struct {
 
 	// activeRes lists every resource with at least one active flow;
 	// the remaining slices are reusable scratch for component discovery,
-	// filling, and retirement. compFlows holds the discovered components
-	// back to back; fillRes and unfrozen are the filling pass's.
+	// filling, and retirement. compFlows, fillRes and ceilFlows are the
+	// flows, resources and ceiling-limited flows of the discovered
+	// components; liveRes holds the resources still filling.
 	activeRes []*Resource
 	compFlows []*Flow
-	resQueue  []*Resource
+	fillRes   []*Resource
+	ceilFlows []*Flow
+	liveRes   []*Resource
 	seeds     []*Flow
 	finished  []*Flow
-	fillRes   []*Resource
-	unfrozen  []*Flow
 }
 
 func newFlowNet(e *Engine) *FlowNet {
@@ -241,187 +253,144 @@ func (n *FlowNet) settle() {
 	n.lastSettle = n.eng.now
 }
 
-// components discovers the connected component of every seed flow,
-// leaving them back to back in compFlows. Components are disjoint by
-// construction (a seed whose component was already discovered is
-// skipped), each sorted into admission order, and listed in first-seed
-// order. Duplicate seeds are tolerated.
+// components discovers the connected components of the seed flows and
+// sets up the filling pass over their union: compFlows lists the flows,
+// fillRes the resources (full headroom, every crossing active, used rate
+// cleared) and ceilFlows the flows with a rate ceiling. Duplicate seeds
+// are tolerated.
 func (n *FlowNet) components(seeds []*Flow) {
 	n.epoch++
 	ep := n.epoch
-	out := n.compFlows[:0]
-	queue := n.resQueue[:0]
+	flows, res, ceil := n.compFlows[:0], n.fillRes[:0], n.ceilFlows[:0]
 	for _, s := range seeds {
-		if s.epoch == ep {
-			continue
+		if s.epoch != ep {
+			s.epoch = ep
+			flows = append(flows, s)
 		}
-		start := len(out)
-		s.epoch = ep
-		out = append(out, s)
-		for _, r := range s.path {
-			if r.epoch != ep {
-				r.epoch = ep
-				queue = append(queue, r)
-			}
-		}
-		for len(queue) > 0 {
-			r := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, fr := range r.flows {
-				f := fr.f
-				if f.epoch == ep {
-					continue
-				}
-				f.epoch = ep
-				out = append(out, f)
-				for _, r2 := range f.path {
-					if r2.epoch != ep {
-						r2.epoch = ep
-						queue = append(queue, r2)
-					}
-				}
-			}
-		}
-		// Discovery visits flows in swap-delete (arbitrary) order;
-		// admission order keeps every later pass (filling, used-rate
-		// refresh) deterministic.
-		sortFlowsBySeq(out[start:])
 	}
-	n.compFlows = out
-	n.resQueue = queue[:0]
-}
-
-// sortFlowsBySeq orders flows by admission seq with an insertion sort:
-// components are typically small, and unlike sort.Slice this allocates
-// nothing on the settle path.
-func sortFlowsBySeq(fs []*Flow) {
-	for i := 1; i < len(fs); i++ {
-		f := fs[i]
-		j := i - 1
-		for j >= 0 && fs[j].seq > f.seq {
-			fs[j+1] = fs[j]
-			j--
+	for i := 0; i < len(flows); i++ {
+		f := flows[i]
+		f.frozen = false
+		if f.ceiling > 0 {
+			ceil = append(ceil, f)
 		}
-		fs[j+1] = f
-	}
-}
-
-// fillAll fills every component discovered by the last components() call
-// in one progressive-filling pass over their union. compFlows
-// concatenates the components, each sorted by admission seq, which fixes
-// every order the pass is sensitive to (per-resource sums are
-// component-local, and the shared level accumulates order-independent
-// minima) — the floating-point sequence the golden trace hashes pin.
-func (n *FlowNet) fillAll() {
-	if len(n.compFlows) == 0 {
-		return
-	}
-	n.epoch++
-	n.fill(n.compFlows, n.epoch)
-}
-
-// fill runs progressive filling over the given flows, which must form a
-// union of connected components: every other flow's rate is unaffected.
-// ep must be a fresh epoch stamp, newer than any stamp on the flows or
-// their resources.
-func (n *FlowNet) fill(flows []*Flow, ep uint64) {
-	res := n.fillRes[:0]
-	for _, f := range flows {
-		f.rate = 0
 		for _, r := range f.path {
-			if r.epoch != ep {
-				r.epoch = ep
-				r.avail = r.Cap
-				r.active = 0
-				r.usedRate = 0
-				res = append(res, r)
+			if r.epoch == ep {
+				continue
 			}
-			r.active++
+			r.epoch = ep
+			r.avail, r.active, r.usedRate = r.Cap, len(r.flows), 0
+			res = append(res, r)
+			for _, fr := range r.flows {
+				if g := fr.f; g.epoch != ep {
+					g.epoch = ep
+					flows = append(flows, g)
+				}
+			}
 		}
 	}
-	unfrozen := append(n.unfrozen[:0], flows...)
-	level := 0.0
-	for len(unfrozen) > 0 {
-		// Smallest additional rate increment any constraint allows.
+	n.compFlows, n.fillRes, n.ceilFlows = flows, res, ceil
+}
+
+// fill assigns max-min fair rates to the flows of the last components()
+// call by progressive filling over their union: all unfrozen flows rise
+// at one shared level, and each step raises it by the smallest increment
+// a live resource or an unfrozen ceiling allows. A flow freezes at the
+// level where its ceiling is reached or a resource on its path
+// saturates, so a step costs one pass over the live resources and
+// ceiling flows, and freezing costs one visit per crossing. Minima and
+// per-resource headroom do not depend on visiting order; the used-rate
+// sums follow each resource's admission-ordered flow list. Together they
+// fix the floating-point sequence the golden trace hashes pin.
+func (n *FlowNet) fill() {
+	live, ceil := append(n.liveRes[:0], n.fillRes...), n.ceilFlows
+	level, final := 0.0, math.Inf(1) // final: the rate of flows no step froze
+	for {
+		// Drop what the last step froze, and find the smallest additional
+		// rate increment any remaining constraint allows.
 		inc := math.Inf(1)
-		for _, f := range unfrozen {
-			if f.ceiling > 0 {
-				if d := f.ceiling - level; d < inc {
-					inc = d
-				}
-			}
-			for _, r := range f.path {
-				if r.active > 0 {
-					if d := r.avail / float64(r.active); d < inc {
-						inc = d
-					}
-				}
+		keep := live[:0]
+		for _, r := range live {
+			if r.active > 0 {
+				keep = append(keep, r)
+				inc = min(inc, r.avail/float64(r.active))
 			}
 		}
-		if math.IsInf(inc, 1) {
-			// No constraint at all (flows with empty paths and no
-			// ceiling): they complete instantly; give them a huge rate.
-			for _, f := range unfrozen {
-				f.rate = math.Inf(1)
+		live = keep
+		next := ceil[:0]
+		for _, f := range ceil {
+			if !f.frozen {
+				next = append(next, f)
+				inc = min(inc, f.ceiling-level)
 			}
+		}
+		ceil = next
+		if math.IsInf(inc, 1) {
+			// No constraint left: any flow still unfrozen has an empty
+			// path and no ceiling, completes instantly, and gets a huge
+			// rate.
 			break
 		}
 		if inc < 0 {
 			inc = 0
 		}
 		level += inc
-		// Charge resources and find newly frozen flows.
-		for _, r := range res {
+		for _, r := range live {
 			r.avail -= inc * float64(r.active)
 			if r.avail < 0 {
 				r.avail = 0
 			}
 		}
-		next := unfrozen[:0]
-		for _, f := range unfrozen {
-			frozen := false
-			// Relative epsilon: a ceiling-limited increment can leave level
-			// one ulp short of the ceiling, which an absolute 1e-15 misses
-			// for large rates; the flow must still freeze or the safety
-			// break below abandons the pass with under-allocated rates.
-			if f.ceiling > 0 && level >= f.ceiling*(1-1e-12) {
-				frozen = true
-			}
-			if !frozen {
-				for _, r := range f.path {
-					if r.avail <= 1e-9*r.Cap {
-						frozen = true
-						break
-					}
-				}
-			}
-			f.rate = level
-			if frozen {
-				for _, r := range f.path {
-					r.active--
-				}
-			} else {
-				next = append(next, f)
+		// Relative epsilon: a ceiling-limited increment can leave level
+		// one ulp short of the ceiling, which an absolute 1e-15 misses for
+		// large rates; the flow must still freeze or the safety break
+		// below abandons the pass with under-allocated rates.
+		froze := 0
+		for _, f := range ceil {
+			if level >= f.ceiling*(1-1e-12) {
+				froze += freeze(f, level)
 			}
 		}
-		if len(next) == len(unfrozen) {
+		for _, r := range live {
+			if r.active > 0 && r.avail <= 1e-9*r.Cap {
+				for _, fr := range r.flows {
+					froze += freeze(fr.f, level)
+				}
+			}
+		}
+		if froze == 0 {
 			// Safety: no progress possible (all increments ~0).
+			final = level
 			break
 		}
-		unfrozen = next
 	}
-	// Refresh the used rate of every touched resource, in admission order
-	// so the floating-point sums are reproducible.
-	for _, f := range flows {
-		if math.IsInf(f.rate, 1) {
-			continue // empty path: crosses no resources
-		}
-		for _, r := range f.path {
-			r.usedRate += f.rate
+	for _, f := range n.compFlows {
+		if !f.frozen {
+			f.rate = final
 		}
 	}
-	n.fillRes = res
-	n.unfrozen = unfrozen[:0]
+	// Refresh the used rate of every touched resource, summing in
+	// admission order so the floating-point results are reproducible.
+	for _, r := range n.fillRes {
+		for _, fr := range r.flows {
+			r.usedRate += fr.f.rate
+		}
+	}
+	n.liveRes = live[:0]
+}
+
+// freeze fixes f's rate at level and retires its crossings from the
+// filling pass. It returns 1 if f was unfrozen, 0 if it already froze.
+func freeze(f *Flow, level float64) int {
+	if f.frozen {
+		return 0
+	}
+	f.frozen = true
+	f.rate = level
+	for _, r := range f.path {
+		r.active--
+	}
+	return 1
 }
 
 // markDirty queues f's component for the next flush and invalidates any
@@ -440,19 +409,11 @@ func (n *FlowNet) flush() {
 	n.dirty = false
 	n.settle()
 	n.components(n.dirtySeeds)
-	n.fillAll()
+	n.fill()
 	for i := range n.dirtySeeds {
 		n.dirtySeeds[i] = nil
 	}
 	n.dirtySeeds = n.dirtySeeds[:0]
-	n.scheduleNextCompletion()
-}
-
-// recomputeTouched re-fills the components containing the seed flows and
-// schedules the next completion event.
-func (n *FlowNet) recomputeTouched(seeds []*Flow) {
-	n.components(seeds)
-	n.fillAll()
 	n.scheduleNextCompletion()
 }
 
@@ -509,7 +470,7 @@ func (n *FlowNet) completeFinished() {
 	}
 	// Process in admission order so downstream wakeups are deterministic
 	// regardless of the active set's swap-delete order.
-	sortFlowsBySeq(finished)
+	slices.SortFunc(finished, func(a, b *Flow) int { return cmp.Compare(a.seq, b.seq) })
 	for _, f := range finished {
 		n.removeFlow(f)
 		for k, r := range f.path {
@@ -541,7 +502,9 @@ func (n *FlowNet) completeFinished() {
 			}
 		}
 	}
-	n.recomputeTouched(seeds)
+	n.components(seeds)
+	n.fill()
+	n.scheduleNextCompletion()
 	for i := range seeds {
 		seeds[i] = nil
 	}

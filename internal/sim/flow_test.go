@@ -187,3 +187,114 @@ func BenchmarkFlowNetStart(b *testing.B) { benchFlows(b, 3e3) }
 // BenchmarkFlowNetChurn cycles flows with light overlap: the steady-state
 // admit/complete path.
 func BenchmarkFlowNetChurn(b *testing.B) { benchFlows(b, 5e2) }
+
+// TestFlowListsStayOrderedUnderChurn drives randomized churn — admissions,
+// completions, restarts from completion callbacks, capacity changes,
+// ceilings, empty paths, and paths that cross one resource twice — and
+// checks after every flush that each resource's flow list is in strict
+// admission order, that every slot index points at its own crossing, and
+// that the last fill's rates and used rates equal refFill's bit for bit.
+func TestFlowListsStayOrderedUnderChurn(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		n := e.net
+		res := make([]*Resource, 2+rng.Intn(5))
+		for i := range res {
+			res[i] = NewResource(fmt.Sprintf("r%d", i), 50+rng.Float64()*500)
+		}
+		randPath := func() []*Resource {
+			path := make([]*Resource, rng.Intn(4))
+			for j := range path {
+				path[j] = res[rng.Intn(len(res))]
+			}
+			if len(path) > 0 && rng.Intn(4) == 0 {
+				path = append(path, path[0]) // cross the first resource twice
+			}
+			return path
+		}
+		check := func(when string) {
+			if n.dirty {
+				n.flush()
+			}
+			for _, r := range res {
+				for i, fr := range r.flows {
+					if fr.f.path[fr.pi] != r || fr.f.slots[fr.pi] != int32(i) {
+						t.Fatalf("seed %d %s: %s.flows[%d] (flow %d crossing %d) has a stale slot %d",
+							seed, when, r.Name, i, fr.f.seq, fr.pi, fr.f.slots[fr.pi])
+					}
+					if i > 0 {
+						prev := r.flows[i-1]
+						if prev.f.seq > fr.f.seq || prev.f.seq == fr.f.seq && prev.pi >= fr.pi {
+							t.Fatalf("seed %d %s: %s.flows out of admission order at %d: (%d,%d) before (%d,%d)",
+								seed, when, r.Name, i, prev.f.seq, prev.pi, fr.f.seq, fr.pi)
+						}
+					}
+				}
+			}
+			for _, f := range n.flows {
+				for k, r := range f.path {
+					if fr := r.flows[f.slots[k]]; fr.f != f || int(fr.pi) != k {
+						t.Fatalf("seed %d %s: flow %d crossing %d not at its slot", seed, when, f.seq, k)
+					}
+				}
+			}
+			ref := refFill(n.compFlows)
+			for _, f := range n.compFlows {
+				if math.Float64bits(f.rate) != math.Float64bits(ref[f]) {
+					t.Fatalf("seed %d %s: flow %d rate=%v ref=%v", seed, when, f.seq, f.rate, ref[f])
+				}
+			}
+			byseq := append([]*Flow(nil), n.compFlows...)
+			sort.Slice(byseq, func(i, j int) bool { return byseq[i].seq < byseq[j].seq })
+			for _, r := range n.fillRes {
+				want := 0.0
+				for _, f := range byseq {
+					for _, r2 := range f.path {
+						if r2 == r {
+							want += ref[f]
+						}
+					}
+				}
+				if math.Float64bits(r.usedRate) != math.Float64bits(want) {
+					t.Fatalf("seed %d %s: %s usedRate=%v, admission-order sum %v", seed, when, r.Name, r.usedRate, want)
+				}
+			}
+		}
+		restarts := 30
+		var start func()
+		start = func() {
+			ceiling := 0.0
+			if rng.Intn(3) == 0 {
+				ceiling = 20 + rng.Float64()*200
+			}
+			f := n.Start("x", 10+rng.Float64()*500, randPath(), ceiling)
+			check("after start")
+			f.OnDone(n, func() {
+				check("after completion")
+				if restarts > 0 {
+					restarts--
+					e.After(float64(rng.Intn(2))*rng.Float64(), start)
+				}
+			})
+		}
+		for i := 0; i < 5+rng.Intn(20); i++ {
+			e.At(rng.Float64()*3, start)
+		}
+		for i := 0; i < 5; i++ {
+			r := res[rng.Intn(len(res))]
+			c := 50 + rng.Float64()*500
+			e.At(rng.Float64()*4, func() {
+				n.SetCapacity(r, c)
+				check("after capacity change")
+			})
+		}
+		for i := 0; i < 10; i++ {
+			e.At(rng.Float64()*5, func() { check("probe") })
+		}
+		e.Run()
+		if len(n.flows) != 0 {
+			t.Fatalf("seed %d: %d flows never completed", seed, len(n.flows))
+		}
+	}
+}

@@ -206,7 +206,7 @@ func BenchmarkSettleCoalesce(b *testing.B) {
 
 // BenchmarkComponentDrain measures retiring flows one at a time out of a
 // wide shared component (~64 flows over one resource): the completion scan,
-// swap-delete removal, and component refill.
+// in-place removal, and component refill.
 func BenchmarkComponentDrain(b *testing.B) {
 	e := NewEngine()
 	n := e.net
@@ -216,6 +216,104 @@ func BenchmarkComponentDrain(b *testing.B) {
 		bytes := 1e3 + float64(i%64)*8
 		e.At(at, func() { n.Start("drain", bytes, r, 0) })
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// TestSameInstantLaneZeroAlloc: events scheduled for the current instant
+// go through the same-instant lane, whose storage is reused once it
+// drains, so bursts of same-instant events allocate nothing in steady
+// state.
+func TestSameInstantLaneZeroAlloc(t *testing.T) {
+	workload := func(iters int) {
+		e := NewEngine()
+		noop := func() {}
+		bursts := 0
+		var burst func()
+		burst = func() {
+			for i := 0; i < 16; i++ {
+				e.At(e.now, noop)
+			}
+			if bursts++; bursts < iters {
+				e.At(e.now+1e-9, burst)
+			}
+		}
+		e.At(0, burst)
+		e.Run()
+	}
+	if extra := steadyStateAllocs(1000, 10000, workload); extra > 100 {
+		t.Errorf("9000 extra bursts of 16 same-instant events allocated %d times, want ~0", extra)
+	}
+}
+
+// BenchmarkSettleLargeComponent measures completion-driven refills of one
+// 4,096-flow component, the ext-scale shape: every flow crosses two
+// adjacent links of one shared ring, and each completion restarts its
+// flow, so every operation re-fills the whole ring twice (after the
+// retirement and after the restart) while the restarts scramble the
+// admission order around the ring.
+func BenchmarkSettleLargeComponent(b *testing.B) {
+	const size = 4096
+	e := NewEngine()
+	n := e.net
+	ring := make([]*Resource, size)
+	for i := range ring {
+		ring[i] = NewResource(fmt.Sprintf("link%d", i), 1e9)
+	}
+	paths := make([][]*Resource, size)
+	for i := range paths {
+		paths[i] = []*Resource{ring[i], ring[(i+1)%size]}
+	}
+	left, starts := b.N, 0
+	var start func(i int)
+	start = func(i int) {
+		starts++
+		// 7919 is coprime with size, so volumes are distinct across the
+		// ring and completions never coincide.
+		bytes := 1e5 * (1 + float64(starts*7919%size)/size)
+		n.Start("halo", bytes, paths[i], 0).OnDone(n, func() {
+			if left--; left > 0 {
+				start(i)
+				return
+			}
+			if left == 0 {
+				// Let the rest of the ring finish in one completion pass.
+				b.StopTimer()
+				for _, f := range n.flows {
+					f.remaining = 0
+				}
+			}
+		})
+	}
+	for i := 0; i < size; i++ {
+		start(i)
+	}
+	n.flush()
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkScheduleSameInstant measures an event that schedules its
+// successor for the current instant while 6,000 later events wait in the
+// heap, the depth ext-scale runs at.
+func BenchmarkScheduleSameInstant(b *testing.B) {
+	e := NewEngine()
+	noop := func() {}
+	for i := 0; i < 6000; i++ {
+		e.At(1+float64(i)*1e-6, noop)
+	}
+	left := b.N
+	var step func()
+	step = func() {
+		if left--; left > 0 {
+			e.At(e.now, step)
+			return
+		}
+		b.StopTimer()
+	}
+	e.At(0, step)
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()

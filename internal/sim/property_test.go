@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -116,5 +117,55 @@ func TestRatesRespectCeilings(t *testing.T) {
 	e.Run()
 	if end < bytes/ceiling-1e-9 {
 		t.Fatalf("flow finished at %v, faster than its ceiling allows (%v)", end, bytes/ceiling)
+	}
+}
+
+// TestEventOrderMatchesTimeSeqSort: with many ties — events scheduled for
+// the current instant, for instants already holding earlier-scheduled
+// events, and for shared future instants — every event fires in the order
+// a reference sort by (time, schedule order) gives.
+func TestEventOrderMatchesTimeSeqSort(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		type key struct {
+			at float64
+			id int
+		}
+		var scheduled []key
+		var fired []int
+		var schedule func(at float64)
+		schedule = func(at float64) {
+			id := len(scheduled)
+			scheduled = append(scheduled, key{at, id})
+			e.At(at, func() {
+				fired = append(fired, id)
+				for c := rng.Intn(4); c > 0 && len(scheduled) < 5000; c-- {
+					if rng.Intn(2) == 0 {
+						schedule(e.Now())
+					} else {
+						schedule(e.Now() + float64(1+rng.Intn(3)))
+					}
+				}
+			})
+		}
+		for i := 0; i < 200; i++ {
+			schedule(float64(rng.Intn(5)))
+		}
+		e.Run()
+		sort.Slice(scheduled, func(i, j int) bool {
+			if scheduled[i].at != scheduled[j].at {
+				return scheduled[i].at < scheduled[j].at
+			}
+			return scheduled[i].id < scheduled[j].id
+		})
+		if len(fired) != len(scheduled) {
+			t.Fatalf("seed %d: %d events fired, %d scheduled", seed, len(fired), len(scheduled))
+		}
+		for i, k := range scheduled {
+			if fired[i] != k.id {
+				t.Fatalf("seed %d: event %d fired %d-th, want event %d (t=%g)", seed, fired[i], i, k.id, k.at)
+			}
+		}
 	}
 }
